@@ -28,6 +28,10 @@ var (
 	ErrVertexRange = errors.New("graph: vertex id out of range")
 	// ErrNegativeWeight reports a negative edge weight.
 	ErrNegativeWeight = errors.New("graph: negative edge weight")
+	// ErrWeightRange reports an edge weight ≥ Infinity. Such a weight
+	// cannot be told apart from "unreachable", and du+w could wrap int32
+	// in a shortest-path search.
+	ErrWeightRange = errors.New("graph: edge weight not below Infinity")
 	// ErrSelfLoop reports a self loop, which hub labelings do not support.
 	ErrSelfLoop = errors.New("graph: self loop")
 )
@@ -174,8 +178,8 @@ func (b *Builder) NumNodes() int { return b.n }
 // AddEdge records the undirected unit-weight edge {u,v}.
 func (b *Builder) AddEdge(u, v NodeID) { b.AddWeightedEdge(u, v, 1) }
 
-// AddWeightedEdge records the undirected edge {u,v} with weight w. Errors
-// are deferred and reported by Build.
+// AddWeightedEdge records the undirected edge {u,v} with weight w, which
+// must lie in [0, Infinity). Errors are deferred and reported by Build.
 func (b *Builder) AddWeightedEdge(u, v NodeID, w Weight) {
 	if b.err != nil {
 		return
@@ -189,6 +193,9 @@ func (b *Builder) AddWeightedEdge(u, v NodeID, w Weight) {
 		return
 	case w < 0:
 		b.err = fmt.Errorf("%w: edge {%d,%d} weight %d", ErrNegativeWeight, u, v, w)
+		return
+	case w >= Infinity:
+		b.err = fmt.Errorf("%w: edge {%d,%d} weight %d", ErrWeightRange, u, v, w)
 		return
 	}
 	if int(u) >= b.n {

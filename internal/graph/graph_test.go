@@ -3,8 +3,11 @@ package graph
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -138,6 +141,8 @@ func TestBuilderErrors(t *testing.T) {
 		{"self loop", func(b *Builder) { b.AddEdge(2, 2) }, ErrSelfLoop},
 		{"negative vertex", func(b *Builder) { b.AddEdge(-1, 2) }, ErrVertexRange},
 		{"negative weight", func(b *Builder) { b.AddWeightedEdge(0, 1, -4) }, ErrNegativeWeight},
+		{"weight Infinity", func(b *Builder) { b.AddWeightedEdge(0, 1, Infinity) }, ErrWeightRange},
+		{"weight MaxInt32", func(b *Builder) { b.AddWeightedEdge(0, 1, math.MaxInt32) }, ErrWeightRange},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
@@ -148,6 +153,16 @@ func TestBuilderErrors(t *testing.T) {
 				t.Errorf("Build err = %v, want %v", err, tc.want)
 			}
 		})
+	}
+	// The largest finite weight is accepted.
+	b := NewBuilder(2, 1)
+	b.AddWeightedEdge(0, 1, Infinity-1)
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("weight Infinity-1: %v", err)
+	}
+	if w, ok := g.EdgeWeight(0, 1); !ok || w != Infinity-1 {
+		t.Errorf("EdgeWeight(0,1) = %d, %v; want %d", w, ok, Infinity-1)
 	}
 }
 
@@ -256,6 +271,8 @@ func TestReadErrors(t *testing.T) {
 		{"bad record", "p 2 1 0\nx 0 1\n"},
 		{"malformed edge", "p 2 1 0\ne 0\n"},
 		{"bad weight", "p 2 1 1\ne 0 1 xyz\n"},
+		{"weight Infinity", fmt.Sprintf("p 2 1 1\ne 0 1 %d\n", Infinity)},
+		{"weight MaxInt32", fmt.Sprintf("p 2 1 1\ne 0 1 %d\n", math.MaxInt32)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -263,6 +280,13 @@ func TestReadErrors(t *testing.T) {
 				t.Error("Read succeeded, want error")
 			}
 		})
+	}
+	g, err := Read(strings.NewReader(fmt.Sprintf("p 2 1 1\ne 0 1 %d\n", Infinity-1)))
+	if err != nil {
+		t.Fatalf("weight Infinity-1: %v", err)
+	}
+	if w, ok := g.EdgeWeight(0, 1); !ok || w != Infinity-1 {
+		t.Errorf("EdgeWeight(0,1) = %d, %v; want %d", w, ok, Infinity-1)
 	}
 }
 

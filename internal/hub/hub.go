@@ -107,9 +107,14 @@ func (l *Labeling) SetLabel(v graph.NodeID, hubs []Hub) {
 // the minimum distance. It discards any frozen flat form (Freeze again
 // afterwards to restore it). A parent column, when present, is permuted
 // and deduplicated in lockstep so it stays parallel to the labels.
+//
+// Vertices are canonicalized in parallel (par.For). Each vertex touches
+// only its own label and parent slots, and the per-vertex sort is a
+// deterministic function of that vertex's input, so the result does not
+// depend on the worker count or the schedule.
 func (l *Labeling) Canonicalize() {
 	l.flat = nil
-	for v := range l.labels {
+	par.For(len(l.labels), func(v int) {
 		hubs := l.labels[v]
 		if l.parents != nil {
 			sortHubsParents(hubs, l.parents[v])
@@ -131,7 +136,7 @@ func (l *Labeling) Canonicalize() {
 		if l.parents != nil {
 			l.parents[v] = l.parents[v][:keep]
 		}
-	}
+	})
 }
 
 // Query decodes the distance between u and v from their labels alone. It

@@ -9,6 +9,7 @@ import (
 
 	"hublab/internal/gen"
 	"hublab/internal/graph"
+	"hublab/internal/par"
 	"hublab/internal/sssp"
 )
 
@@ -66,6 +67,53 @@ func TestCanonicalizeDedup(t *testing.T) {
 	}
 	if hubs[0] != (Hub{Node: 1, Dist: 1}) || hubs[1] != (Hub{Node: 4, Dist: 2}) {
 		t.Errorf("canonical label = %v", hubs)
+	}
+}
+
+// TestCanonicalizeWorkerCountInvariant pins that the parallel Canonicalize
+// emits the same container bytes whatever the worker count. The labels
+// arrive unsorted, with repeated hubs at different distances and parents,
+// with and without a parent column.
+func TestCanonicalizeWorkerCountInvariant(t *testing.T) {
+	const n = 500
+	rng := rand.New(rand.NewSource(12))
+	labels := make([][]Hub, n)
+	parents := make([][]graph.NodeID, n)
+	for v := range labels {
+		for k := rng.Intn(60); k > 0; k-- {
+			labels[v] = append(labels[v], Hub{Node: graph.NodeID(rng.Intn(n / 4)), Dist: graph.Weight(rng.Intn(4))})
+			parents[v] = append(parents[v], graph.NodeID(rng.Intn(n)))
+		}
+	}
+	build := func(withParents bool) []byte {
+		ls := make([][]Hub, n)
+		ps := make([][]graph.NodeID, n)
+		for v := range labels {
+			ls[v] = append([]Hub(nil), labels[v]...)
+			ps[v] = append([]graph.NodeID(nil), parents[v]...)
+		}
+		var l *Labeling
+		if withParents {
+			l = FromSlicesParents(ls, ps)
+		} else {
+			l = FromSlices(ls)
+		}
+		var buf bytes.Buffer
+		if _, err := l.Freeze().WriteContainer(&buf, ContainerOptions{}); err != nil {
+			t.Fatalf("WriteContainer: %v", err)
+		}
+		return buf.Bytes()
+	}
+	defer par.SetWorkers(par.SetWorkers(1))
+	for _, withParents := range []bool{false, true} {
+		par.SetWorkers(1)
+		want := build(withParents)
+		for _, k := range []int{0, 8} {
+			par.SetWorkers(k)
+			if got := build(withParents); !bytes.Equal(got, want) {
+				t.Errorf("parents=%v: %d workers emit a different container than 1", withParents, par.Workers(n))
+			}
+		}
 	}
 }
 

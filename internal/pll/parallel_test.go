@@ -3,6 +3,7 @@ package pll_test
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"hublab/internal/gen"
@@ -10,6 +11,7 @@ import (
 	"hublab/internal/hub"
 	"hublab/internal/index/indextest"
 	"hublab/internal/pll"
+	"hublab/internal/sssp"
 )
 
 // containerBytes freezes l and serializes it (parent column included) so
@@ -189,5 +191,79 @@ func TestOrderRegistry(t *testing.T) {
 	}
 	if _, err := pll.OrderByName(g, "test-custom", 0); err != nil {
 		t.Errorf("registered order not callable: %v", err)
+	}
+}
+
+// TestPruneAtWeightLimit pins the prune predicate at the edge of its
+// contract: the largest finite distance is Infinity-1, so label entries
+// and root distances near the sentinel meet in one sum, and further
+// components leave every cross pair unreachable. Sequential and parallel
+// builds must agree byte for byte under every order, and every pair must
+// decode to its Dijkstra distance.
+func TestPruneAtWeightLimit(t *testing.T) {
+	const q = graph.Infinity / 4
+	b := graph.NewBuilder(10, 10)
+	// Spine 0-1-2-3-4 of length exactly Infinity-1, with a tied detour
+	// 1-5-2 of the same length as the edge 1-2.
+	b.AddWeightedEdge(0, 1, q)
+	b.AddWeightedEdge(1, 2, q)
+	b.AddWeightedEdge(2, 3, q)
+	b.AddWeightedEdge(3, 4, q-1)
+	b.AddWeightedEdge(1, 5, 3)
+	b.AddWeightedEdge(5, 2, q-3)
+	// A second component with edges of weight up to Infinity-1. The path
+	// 6-7-8 relaxes to exactly Infinity, which the search must reject in
+	// favour of the edge 6-8; dist(6,9) is again Infinity-1.
+	b.AddWeightedEdge(6, 7, graph.Infinity-1)
+	b.AddWeightedEdge(7, 8, 1)
+	b.AddWeightedEdge(6, 8, graph.Infinity-3)
+	b.AddWeightedEdge(8, 9, 2)
+	// A third, random component with weights up to Infinity/32, so that
+	// many label entries and root distances are large. Its diameter stays
+	// well under 32 hops, so every distance stays below Infinity.
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 120; k++ {
+		u, v := graph.NodeID(10+rng.Intn(60)), graph.NodeID(10+rng.Intn(60))
+		if u != v {
+			b.AddWeightedEdge(u, v, 1+graph.Weight(rng.Int31n(graph.Infinity/32)))
+		}
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := g.NumNodes()
+	want := make([][]graph.Weight, n)
+	for u := range want {
+		want[u] = sssp.Dijkstra(g, graph.NodeID(u)).Dist
+	}
+	if want[0][4] != graph.Infinity-1 || want[6][9] != graph.Infinity-1 {
+		t.Fatalf("dist(0,4) = %d, dist(6,9) = %d; want Infinity-1", want[0][4], want[6][9])
+	}
+	for _, name := range []string{"degree", "natural", "random"} {
+		t.Run(name, func(t *testing.T) {
+			seq, err := pll.Build(g, pll.Options{OrderBy: name, Seed: 3, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantBytes := containerBytes(t, seq)
+			for _, workers := range []int{2, 3, 8} {
+				par, err := pll.Build(g, pll.Options{OrderBy: name, Seed: 3, Workers: workers})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(containerBytes(t, par), wantBytes) {
+					t.Errorf("w=%d: parallel container differs from sequential", workers)
+				}
+			}
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					got, ok := seq.Query(graph.NodeID(u), graph.NodeID(v))
+					if w := want[u][v]; got != w || ok != (w < graph.Infinity) {
+						t.Errorf("dist(%d,%d) = %d, %v; want %d", u, v, got, ok, w)
+					}
+				}
+			}
+		})
 	}
 }

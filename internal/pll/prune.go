@@ -17,9 +17,32 @@ import (
 // root, Infinity when absent), already certify a root distance ≤ du. This
 // is the PLL prune predicate: when it holds the vertex gains no entry for
 // this root and its search subtree is cut off.
+//
+// The test needs no "hub present" guard, because the sentinel arithmetic
+// already makes an absent hub fail it. graph.Builder rejects every edge
+// weight ≥ Infinity, and relaxation accepts only nd < dist[v] ≤ Infinity,
+// so every label distance and every du is below Infinity (2^29). An absent
+// hub reads rd = Infinity, and Infinity+h.Dist > du; a present one sums to
+// below 2^30. No sum can wrap int32. Skipping the guard removes a
+// data-dependent branch from the build's innermost loop.
+//
+// Most calls fail and scan the whole label, so the loop takes four entries
+// per step and tests their minimum (compiled to conditional moves): one
+// branch per four independent loads. The answer is the same boolean.
 func certified(label []hub.Hub, rootDist []graph.Weight, du graph.Weight) bool {
-	for _, h := range label {
-		if rd := rootDist[h.Node]; rd < graph.Infinity && rd+h.Dist <= du {
+	i := 0
+	for ; i+4 <= len(label); i += 4 {
+		h := label[i : i+4 : i+4]
+		a := rootDist[h[0].Node] + h[0].Dist
+		b := rootDist[h[1].Node] + h[1].Dist
+		c := rootDist[h[2].Node] + h[2].Dist
+		d := rootDist[h[3].Node] + h[3].Dist
+		if min(a, b, c, d) <= du {
+			return true
+		}
+	}
+	for _, h := range label[i:] {
+		if rootDist[h.Node]+h.Dist <= du {
 			return true
 		}
 	}
